@@ -8,7 +8,7 @@
 // the data shipment and result counts the paper tabulates, so the paper's
 // rows can be read off the benchmark output. Absolute times come from the
 // simulator — the shapes, not the magnitudes, are the reproduction target
-// (see EXPERIMENTS.md).
+// (recorded figures: perfbench/README.md).
 package gstored
 
 import (

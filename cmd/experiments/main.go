@@ -1,7 +1,7 @@
 // Command experiments regenerates the paper's tables and figures over the
 // synthetic workloads. Each -run target corresponds to one table/figure of
 // the evaluation (Section VIII); see DESIGN.md for the experiment index
-// and EXPERIMENTS.md for recorded outputs.
+// and perfbench/README.md for recorded figures.
 //
 // Usage:
 //

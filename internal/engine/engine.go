@@ -292,6 +292,9 @@ func projectRow(q *query.Graph, row Row, buf Row) Row {
 // construction, and the shared dictionary is lock-protected.
 type Engine struct {
 	Cluster *cluster.Cluster
+
+	// beforePrune, when set by a test, runs just before LEC pruning.
+	beforePrune func()
 }
 
 // New builds an engine (and its in-process cluster) over a distributed
@@ -847,6 +850,7 @@ func (e *Engine) runDistributed(ctx context.Context, q *query.Graph, cfg Config,
 	// worker mode the partial matches already crossed the wire in stage 1
 	// (the transport ships them with the reply), so the feature exchange
 	// is a coordinator-local pruning step with no traffic of its own.
+	cancel := cancelFunc(ctx)
 	kept := pms
 	if cfg.Mode >= LO {
 		lecStart := time.Now()
@@ -862,7 +866,16 @@ func (e *Engine) runDistributed(ctx context.Context, q *query.Graph, cfg Config,
 				frags[f.Frag].ShipmentBytes += int64(fb)
 			}
 		}
-		res := lec.Prune(features, q)
+		if e.beforePrune != nil {
+			e.beforePrune()
+		}
+		res, err := lec.PruneWith(features, q, cancel)
+		if err != nil {
+			if cerr := ctx.Err(); cerr != nil {
+				return cerr
+			}
+			return err
+		}
 		if !wired {
 			// Verdict bitmap back to each site.
 			net.Broadcast((len(features)+7)/8, k)
@@ -897,7 +910,6 @@ func (e *Engine) runDistributed(ctx context.Context, q *query.Graph, cfg Config,
 		}
 	}
 	asmStart := time.Now()
-	cancel := cancelFunc(ctx)
 	// Emit streams each crossing match straight into out as it is found,
 	// so no intermediate []assembly.Result is materialized; the ordered
 	// path's terminal canonical sort covers the unordered emission, and a

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -13,6 +15,7 @@ import (
 	"gstored/internal/query"
 	"gstored/internal/rdf"
 	"gstored/internal/store"
+	"gstored/internal/trace"
 )
 
 var allModes = []Mode{Basic, LA, LO, Full}
@@ -351,6 +354,26 @@ func TestModeString(t *testing.T) {
 	for m, want := range names {
 		if m.String() != want {
 			t.Errorf("%d.String() = %q", int(m), m.String())
+		}
+	}
+}
+
+// TestCancelBeforeLECPruning: a Full-mode query canceled just before LEC
+// pruning returns the context's error from inside pruning; neither the
+// pruning verdict nor assembly is ever reached.
+func TestCancelBeforeLECPruning(t *testing.T) {
+	ex, e := paperEngine(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	tr := trace.New()
+	e.beforePrune = cancel
+	_, err := e.ExecuteContext(trace.NewContext(ctx, tr), ex.Query, Config{Mode: Full})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	for _, sp := range tr.Spans() {
+		if sp.Stage == "lec" || sp.Stage == "assembly" {
+			t.Errorf("stage %q ran after cancellation", sp.Stage)
 		}
 	}
 }

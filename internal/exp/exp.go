@@ -2,8 +2,8 @@
 // of the paper's evaluation (Section VIII), each producing the same rows
 // or series the paper reports, rendered as aligned text tables.
 //
-// The per-experiment index lives in DESIGN.md; EXPERIMENTS.md records
-// measured outputs against the paper's.
+// The per-experiment index lives in DESIGN.md; perfbench/README.md
+// describes the recorded benchmark of the paper's workloads.
 package exp
 
 import (

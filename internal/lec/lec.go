@@ -6,10 +6,11 @@
 package lec
 
 import (
-	"fmt"
+	"encoding/binary"
+	"errors"
 	"sort"
-	"strings"
 
+	"gstored/internal/join"
 	"gstored/internal/partial"
 	"gstored/internal/query"
 	"gstored/internal/rdf"
@@ -28,17 +29,6 @@ type Feature struct {
 	PMs []int
 }
 
-// Key canonically identifies the feature (fragment + g; the sign is
-// implied, Theorem 1).
-func (f *Feature) Key() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "F%d", f.Frag)
-	for _, m := range f.Mappings {
-		fmt.Fprintf(&b, "|%d:%d-%d-%d", m.QEdge, m.S, m.P, m.O)
-	}
-	return b.String()
-}
-
 // EstimateBytes approximates the wire size of the feature for data-shipment
 // accounting: fragment id + 16 bytes per mapping + the LECSign bitstring
 // (Section IV-D: O(|E_Q| + |V_Q|) per feature).
@@ -47,19 +37,20 @@ func (f *Feature) EstimateBytes(numQueryVertices int) int {
 }
 
 // Compute runs Algorithm 1: a linear scan grouping partial matches into
-// equivalence classes keyed by (fragment, g). Features are returned in
-// first-seen order; FeatureOf[i] gives the feature index of pms[i].
+// equivalence classes keyed by (fragment, g) in binary (the sign is
+// implied, Theorem 1). Features are returned in first-seen order;
+// FeatureOf[i] gives the feature index of pms[i].
 func Compute(pms []*partial.Match) (features []*Feature, featureOf []int) {
 	index := make(map[string]int)
 	featureOf = make([]int, len(pms))
+	var key []byte
 	for i, pm := range pms {
-		f := &Feature{Frag: pm.Frag, Mappings: pm.Crossing, Sign: pm.Sign}
-		key := f.Key()
-		fi, ok := index[key]
+		key = partial.AppendCrossing(binary.LittleEndian.AppendUint32(key[:0], uint32(pm.Frag)), pm.Crossing)
+		fi, ok := index[string(key)]
 		if !ok {
 			fi = len(features)
-			index[key] = fi
-			features = append(features, f)
+			index[string(key)] = fi
+			features = append(features, &Feature{Frag: pm.Frag, Mappings: pm.Crossing, Sign: pm.Sign})
 		}
 		features[fi].PMs = append(features[fi].PMs, i)
 		featureOf[i] = fi
@@ -167,193 +158,57 @@ type PruneResult struct {
 // every feature (conservative).
 const maxPruneStates = 1 << 20
 
-// Prune implements Algorithm 2 as a canonical-root closure over the
-// feature join space: every connected, sign-disjoint, mapping-consistent
-// combination of features is grown from its minimum-index member; when a
-// combination's signs union to all-ones (Theorem 4), its members are
-// retained. Partial matches whose features are not retained can be
-// discarded before shipment (Theorem 3/4 guarantee no final match is
-// lost).
-//
-// Beyond Definition 9 the closure also checks crossing-edge *endpoint*
-// consistency (two mappings binding one query vertex to different data
-// vertices cannot coexist in a match) — strictly better pruning that
-// remains safe, see DESIGN.md fidelity note 1.
+// Prune is PruneWith without cancellation.
 func Prune(features []*Feature, q *query.Graph) PruneResult {
-	res := PruneResult{Retained: make([]bool, len(features))}
-	if len(features) == 0 {
-		return res
-	}
-	full := fullSign(len(q.Vertices))
-
-	// Index: mapping -> features containing it, for connected expansion.
-	byMapping := make(map[partial.CrossEdge][]int)
-	for i, f := range features {
-		for _, m := range f.Mappings {
-			byMapping[m] = append(byMapping[m], i)
-		}
-	}
-
-	newState := func(fi int) (*joinState, bool) {
-		s := &joinState{
-			sign:    features[fi].Sign,
-			members: []int{fi},
-			vbind:   make([]rdf.TermID, len(q.Vertices)),
-			qmap:    make([]partial.CrossEdge, len(q.Edges)),
-		}
-		for _, m := range features[fi].Mappings {
-			if !applyMapping(s.vbind, s.qmap, q, m) {
-				return nil, false
-			}
-		}
-		return s, true
-	}
-
-	for root := 0; root < len(features); root++ {
-		if res.Overflowed {
-			break
-		}
-		if features[root].Sign == full {
-			// A single feature can never be complete (it has a crossing
-			// edge, hence an extended endpoint vertex), but guard anyway.
-			res.Retained[root] = true
-			continue
-		}
-		init, ok := newState(root)
-		if !ok {
-			continue
-		}
-		frontier := []*joinState{init}
-		seen := map[string]bool{memberKey(init.members): true}
-		for len(frontier) > 0 && !res.Overflowed {
-			s := frontier[len(frontier)-1]
-			frontier = frontier[:len(frontier)-1]
-			for _, cand := range expandCandidates(s.members, s.qmap, q, byMapping, root) {
-				ns, ok := tryExtend(s, features[cand], cand, q)
-				if !ok {
-					continue
-				}
-				key := memberKey(ns.members)
-				if seen[key] {
-					continue
-				}
-				seen[key] = true
-				res.States++
-				if res.States > maxPruneStates {
-					res.Overflowed = true
-					break
-				}
-				if ns.sign == full {
-					for _, m := range ns.members {
-						res.Retained[m] = true
-					}
-					// A complete combination can still grow? No: any
-					// further feature overlaps the full sign. Stop here.
-					continue
-				}
-				frontier = append(frontier, ns)
-			}
-		}
-	}
-	if res.Overflowed {
-		for i := range res.Retained {
-			res.Retained[i] = true
-		}
-	}
+	res, _ := PruneWith(features, q, nil) // fails only on cancel
 	return res
 }
 
-func fullSign(n int) uint64 {
-	if n >= 64 {
-		return ^uint64(0)
-	}
-	return (uint64(1) << uint(n)) - 1
-}
-
-func memberKey(members []int) string {
-	var b strings.Builder
-	for _, m := range members {
-		fmt.Fprintf(&b, "%d,", m)
-	}
-	return b.String()
-}
-
-// applyMapping folds one crossing-edge mapping into the per-vertex and
-// per-edge binding tables, reporting consistency.
-func applyMapping(vbind []rdf.TermID, qmap []partial.CrossEdge, q *query.Graph, m partial.CrossEdge) bool {
-	e := q.Edges[m.QEdge]
-	if cur := qmap[m.QEdge]; cur.S != rdf.NoTerm {
-		if cur != m {
-			return false // Definition 9 condition 3
+// PruneWith implements Algorithm 2 with the join search of package join:
+// every connected, sign-disjoint, mapping-consistent combination of
+// features is grown from its minimum-index member; when a combination's
+// signs union to all-ones (Theorem 4), its members are retained. Partial
+// matches whose features are not retained can be discarded before
+// shipment (Theorem 3/4 guarantee no final match is lost).
+//
+// Each feature joins with a vector binding only its crossing-edge
+// endpoints (one partial match's mappings always agree), so beyond
+// Definition 9 the search also checks endpoint consistency: two mappings
+// binding one query vertex to different data vertices cannot coexist in a
+// match. That is strictly better pruning and remains safe, see DESIGN.md
+// fidelity note 1.
+//
+// cancel, when non-nil, is polled periodically; once it returns true,
+// PruneWith returns join.ErrCanceled and no Retained vector, since a
+// partial verdict would drop features a later root still retains.
+func PruneWith(features []*Feature, q *query.Graph, cancel func() bool) (PruneResult, error) {
+	nv := len(q.Vertices)
+	vecs := make([]rdf.TermID, len(features)*nv)
+	items := make([]join.Item, len(features))
+	for i, f := range features {
+		vec := vecs[i*nv : (i+1)*nv]
+		for _, m := range f.Mappings {
+			e := q.Edges[m.QEdge]
+			vec[e.From], vec[e.To] = m.S, m.O
 		}
-		return true
+		items[i] = join.Item{Sign: f.Sign, Crossing: f.Mappings, Vec: vec}
 	}
-	if b := vbind[e.From]; b != rdf.NoTerm && b != m.S {
-		return false
-	}
-	if b := vbind[e.To]; b != rdf.NoTerm && b != m.O {
-		return false
-	}
-	qmap[m.QEdge] = m
-	vbind[e.From] = m.S
-	vbind[e.To] = m.O
-	return true
-}
-
-// expandCandidates lists features sharing at least one crossing-edge
-// mapping with the state (connected growth), with index > root
-// (canonical-root enumeration) and not already members.
-func expandCandidates(members []int, qmap []partial.CrossEdge, q *query.Graph, byMapping map[partial.CrossEdge][]int, root int) []int {
-	in := make(map[int]bool, len(members))
-	for _, m := range members {
-		in[m] = true
-	}
-	var out []int
-	seen := map[int]bool{}
-	for qe := range qmap {
-		if qmap[qe].S == rdf.NoTerm {
-			continue
-		}
-		for _, fi := range byMapping[qmap[qe]] {
-			if fi <= root || in[fi] || seen[fi] {
-				continue
+	res := PruneResult{Retained: make([]bool, len(features))}
+	st, err := join.Search(items, q, join.Options{Indexed: true, Cancel: cancel, MaxStates: maxPruneStates},
+		func(members []int32, _, _ []rdf.TermID) bool {
+			for _, m := range members {
+				res.Retained[m] = true
 			}
-			seen[fi] = true
-			out = append(out, fi)
+			return true
+		})
+	res.States = st.States
+	if errors.Is(err, join.ErrTooManyStates) {
+		res.Overflowed = true
+		for i := range res.Retained {
+			res.Retained[i] = true
 		}
+	} else if err != nil {
+		return PruneResult{States: st.States}, err
 	}
-	sort.Ints(out)
-	return out
-}
-
-// joinState is one node of the feature-join search: the union sign, the
-// sorted member feature indices, crossing-edge endpoint bindings per query
-// vertex (vbind) and the crossing edge chosen per query edge (qmap, with
-// S == rdf.NoTerm meaning unset).
-type joinState struct {
-	sign    uint64
-	members []int
-	vbind   []rdf.TermID
-	qmap    []partial.CrossEdge
-}
-
-// tryExtend joins feature f (index fi) into state s, returning the new
-// state, or false when Definition 9 / Theorem 4 conditions fail.
-func tryExtend(s *joinState, f *Feature, fi int, q *query.Graph) (*joinState, bool) {
-	if s.sign&f.Sign != 0 {
-		return nil, false // Theorem 4 condition 2
-	}
-	ns := &joinState{
-		sign:    s.sign | f.Sign,
-		members: append(append([]int(nil), s.members...), fi),
-		vbind:   append([]rdf.TermID(nil), s.vbind...),
-		qmap:    append([]partial.CrossEdge(nil), s.qmap...),
-	}
-	sort.Ints(ns.members)
-	for _, m := range f.Mappings {
-		if !applyMapping(ns.vbind, ns.qmap, q, m) {
-			return nil, false
-		}
-	}
-	return ns, true
+	return res, nil
 }

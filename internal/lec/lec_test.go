@@ -1,9 +1,11 @@
 package lec
 
 import (
+	"errors"
 	"testing"
 
 	"gstored/internal/fragment"
+	"gstored/internal/join"
 	"gstored/internal/paperexample"
 	"gstored/internal/partial"
 	"gstored/internal/rdf"
@@ -249,5 +251,15 @@ func TestFeatureBytes(t *testing.T) {
 	}
 	if two.EstimateBytes(5) <= one.EstimateBytes(5) {
 		t.Error("feature size not monotone in mappings")
+	}
+}
+
+// TestPruneWithCancel: a canceled prune reports join.ErrCanceled and no
+// verdict, never a partial one.
+func TestPruneWithCancel(t *testing.T) {
+	ex, _, features, _ := paperFeatures(t)
+	res, err := PruneWith(features, ex.Query, func() bool { return true })
+	if !errors.Is(err, join.ErrCanceled) || res.Retained != nil {
+		t.Errorf("canceled prune: err = %v, retained = %v; want join.ErrCanceled and no verdict", err, res.Retained)
 	}
 }

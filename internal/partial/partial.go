@@ -7,10 +7,10 @@
 package partial
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -52,24 +52,35 @@ type Match struct {
 	Sign uint64
 }
 
-// Key returns a canonical identity for deduplication: fragment,
-// serialization vector, edge-variable bindings, matched edges and crossing
-// edge mappings.
+// Key returns a canonical identity for deduplication: fragment, vector,
+// edge-variable bindings, matched edges and crossing edges in fixed-width
+// binary. Vec and EdgeVars have one length per query, so two matches of
+// one query share a key exactly when all five fields are equal.
 func (m *Match) Key() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "F%d|", m.Frag)
-	for _, v := range m.Vec {
-		fmt.Fprintf(&b, "%d,", v)
+	return string(appendKey(nil, m.Frag, m.Vec, m.EdgeVars, m.MatchedEdges, m.Crossing))
+}
+
+func appendKey(b []byte, frag int, vec, edgeVars []rdf.TermID, matched uint64, crossing []CrossEdge) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(frag))
+	b = binary.LittleEndian.AppendUint64(AppendTerms(AppendTerms(b, vec), edgeVars), matched)
+	return AppendCrossing(b, crossing)
+}
+
+// AppendTerms appends 4 bytes per term.
+func AppendTerms(b []byte, terms []rdf.TermID) []byte {
+	for _, t := range terms {
+		b = binary.LittleEndian.AppendUint32(b, uint32(t))
 	}
-	b.WriteByte('|')
-	for _, v := range m.EdgeVars {
-		fmt.Fprintf(&b, "%d,", v)
+	return b
+}
+
+// AppendCrossing appends the binary encoding of crossing-edge mappings,
+// 16 bytes each: query edge, subject, predicate, object.
+func AppendCrossing(b []byte, crossing []CrossEdge) []byte {
+	for _, c := range crossing {
+		b = AppendTerms(b, []rdf.TermID{rdf.TermID(c.QEdge), c.S, c.P, c.O})
 	}
-	fmt.Fprintf(&b, "|%x|", m.MatchedEdges)
-	for _, c := range m.Crossing {
-		fmt.Fprintf(&b, "%d:%d-%d-%d;", c.QEdge, c.S, c.P, c.O)
-	}
-	return b.String()
+	return b
 }
 
 // EstimateBytes approximates the wire size of the match for data-shipment
@@ -194,6 +205,7 @@ func computeParallel(f *fragment.Fragment, q *query.Graph, opts Options, inc [][
 	cancel := opts.Cancel
 	poll := func() bool { return stop.Load() || (cancel != nil && cancel()) }
 	outs := make([][]*Match, len(chunks))
+	keys := make([][]string, len(chunks))
 	errs := make([]error, len(chunks))
 	tasks := make([]func(), len(chunks))
 	for i, ch := range chunks {
@@ -210,7 +222,7 @@ func computeParallel(f *fragment.Fragment, q *query.Graph, opts Options, inc [][
 			chunkOpts.Cancel = poll
 			en := newEnumerator(f, q, chunkOpts, inc)
 			errs[i] = en.run(f.Crossing[ch[0]:ch[1]], seedOrder)
-			outs[i] = en.out
+			outs[i], keys[i] = en.out, en.keys
 			if errs[i] != nil {
 				stop.Store(true)
 			}
@@ -242,13 +254,12 @@ func computeParallel(f *fragment.Fragment, q *query.Graph, opts Options, inc [][
 	}
 	seen := make(map[string]bool)
 	var out []*Match
-	for _, ms := range outs {
-		for _, m := range ms {
-			key := m.Key()
-			if seen[key] {
+	for i, ms := range outs {
+		for j, m := range ms {
+			if seen[keys[i][j]] {
 				continue
 			}
-			seen[key] = true
+			seen[keys[i][j]] = true
 			out = append(out, m)
 		}
 	}
@@ -273,6 +284,9 @@ type enumerator struct {
 
 	seen  map[string]bool
 	out   []*Match
+	keys  []string    // keys[i] is out[i].Key()
+	cross []CrossEdge // crossing edges of the match being finalized
+	key   []byte      // its key
 	steps uint
 	err   error
 }
@@ -484,51 +498,44 @@ func (en *enumerator) finalize() {
 			return // condition 5 violated; unreachable by construction
 		}
 	}
-	m := &Match{
-		Frag:         en.f.ID,
-		Vec:          append([]rdf.TermID(nil), en.vec...),
-		EdgeVars:     append([]rdf.TermID(nil), en.evb...),
-		MatchedEdges: en.matched,
-	}
+	// Crossing comes out sorted: one mapping per query edge, in edge order.
+	en.cross = en.cross[:0]
 	for i, e := range en.q.Edges {
 		if en.matched&(1<<uint(i)) == 0 {
 			continue
 		}
 		s, o := en.vec[e.From], en.vec[e.To]
 		if en.f.IsCrossing(s, o) {
-			m.Crossing = append(m.Crossing, CrossEdge{QEdge: i, S: s, P: en.lab[i], O: o})
+			en.cross = append(en.cross, CrossEdge{QEdge: i, S: s, P: en.lab[i], O: o})
 		}
 	}
 	// Condition 4: at least one crossing edge (the seed guarantees it, but
 	// a seed whose expansion became all-internal would be a complete local
 	// match, which belongs to the local stage, not here).
-	if len(m.Crossing) == 0 {
+	if len(en.cross) == 0 {
 		return
 	}
-	sort.Slice(m.Crossing, func(a, b int) bool {
-		x, y := m.Crossing[a], m.Crossing[b]
-		if x.QEdge != y.QEdge {
-			return x.QEdge < y.QEdge
-		}
-		if x.S != y.S {
-			return x.S < y.S
-		}
-		if x.P != y.P {
-			return x.P < y.P
-		}
-		return x.O < y.O
-	})
+	// Deduplicate on the key before allocating anything for the match.
+	en.key = appendKey(en.key[:0], en.f.ID, en.vec, en.evb, en.matched, en.cross)
+	if en.seen[string(en.key)] {
+		return
+	}
+	key := string(en.key)
+	en.seen[key] = true
+	m := &Match{
+		Frag:         en.f.ID,
+		Vec:          append([]rdf.TermID(nil), en.vec...),
+		EdgeVars:     append([]rdf.TermID(nil), en.evb...),
+		Crossing:     append([]CrossEdge(nil), en.cross...),
+		MatchedEdges: en.matched,
+	}
 	for i, u := range m.Vec {
 		if u != rdf.NoTerm && en.f.IsInternal(u) {
 			m.Sign |= 1 << uint(i)
 		}
 	}
-	key := m.Key()
-	if en.seen[key] {
-		return
-	}
-	en.seen[key] = true
 	en.out = append(en.out, m)
+	en.keys = append(en.keys, key)
 	if en.opts.MaxMatches > 0 && len(en.out) > en.opts.MaxMatches {
 		en.err = ErrTooManyMatches{Limit: en.opts.MaxMatches}
 	}
